@@ -1,19 +1,25 @@
-/// Experiment P5: backlog snapshot reconstruction and DATA-INTERVAL
-/// version enumeration.
+/// Experiment P5: backlog history — past states and DATA-INTERVAL
+/// versions.
 ///
 /// Sweeps the number of captured update events and the width of the
 /// DATA-INTERVAL, measuring (a) point-in-time snapshot materialization,
-/// (b) target-view computation across all versions in an interval, and
-/// (c) the auditor's snapshot cache benefit when many queries share a
-/// database state.
+/// (b) target-view computation across all versions in an interval, (c)
+/// the cost of candidates that share one database state vs one state
+/// each, (d) pinning every version of a churned world by one roll-forward
+/// history cursor vs replaying each from event 0 (the reference in
+/// tests/backlog/replay_oracle.h), and (e) the phase split of one full
+/// audit of such a world (the ROADMAP probe rows: patients x churn
+/// updates over a 1,000-query log, in time order or stamped by two
+/// skewed clocks).
 ///
-/// Run: build/bench/bench_backlog
+/// Run: build/bench/bench_backlog (writes BENCH_backlog.json)
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "src/audit/target_view.h"
 #include "src/common/random.h"
+#include "tests/backlog/replay_oracle.h"
 
 namespace {
 
@@ -89,9 +95,9 @@ BENCHMARK(BM_TargetViewOverInterval)
     ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-/// Snapshot-cache benefit: audit a log whose queries all ran between the
-/// same two updates (one shared state) vs spread across update events
-/// (one state per query).
+/// State sharing: audit a log whose queries all ran between the same two
+/// updates (one shared state) vs spread across update events (one state
+/// per query).
 void BM_AuditSnapshotLocality(benchmark::State& state) {
   const bool shared_state = state.range(0) != 0;
   const size_t queries = 200;
@@ -120,7 +126,7 @@ void BM_AuditSnapshotLocality(benchmark::State& state) {
   options.minimize_batch = false;
   options.per_query_verdicts = false;
   // Pin DATA-INTERVAL to a single version so the measured difference is
-  // purely the per-query snapshot (cache) cost.
+  // purely the per-query state cost.
   const std::string audit_text =
       "DURING 1/1/1970 to 2/1/1970 "
       "DATA-INTERVAL 1/1/1970:00-08-20 to 1/1/1970:00-08-20 "
@@ -138,6 +144,141 @@ BENCHMARK(BM_AuditSnapshotLocality)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
+/// A world shaped like the ROADMAP probe: `patients` hospital rows, a
+/// 1,000-query log from t = 100 s, and `updates` GenerateChurn updates
+/// from t = 100⅓ s, spaced to span the log. With `skew_s` > 0 every second
+/// update comes from a writer whose clock runs `skew_s` seconds behind:
+/// captured in turn, but stamped earlier than the update captured just
+/// before it (an out-of-order backlog).
+std::unique_ptr<bench::World> MakeChurnWorld(size_t patients, size_t updates,
+                                             int64_t skew_s) {
+  constexpr size_t kQueries = 1000;
+  auto world = bench::MakeWorld(patients, kQueries);
+  if (updates == 0) return world;
+  workload::ChurnConfig churn;
+  churn.num_updates = updates;
+  churn.start = Ts(100).AddMicros(1000000 / 3);
+  churn.spacing_micros = static_cast<int64_t>(kQueries * 1000000 / updates);
+  if (skew_s == 0) {
+    if (!workload::GenerateChurn(&world->db, churn, world->hospital).ok()) {
+      std::abort();
+    }
+    return world;
+  }
+  for (size_t i = 0; i < updates; ++i) {
+    workload::ChurnConfig one = churn;
+    one.num_updates = 1;
+    one.seed = churn.seed + i;
+    one.start = churn.start.AddMicros(
+        static_cast<int64_t>(i) * churn.spacing_micros -
+        (i % 2 == 1 ? skew_s * 1000000 : 0));
+    if (!workload::GenerateChurn(&world->db, one, world->hospital).ok()) {
+      std::abort();
+    }
+  }
+  return world;
+}
+
+std::unique_ptr<bench::World> MakeChurnWorld(const benchmark::State& state) {
+  return MakeChurnWorld(static_cast<size_t>(state.range(0)),
+                        static_cast<size_t>(state.range(1)), state.range(2));
+}
+
+std::vector<Timestamp> AllVersions(const bench::World& world) {
+  return world.backlog.VersionTimestamps({Ts(0), Ts(86400)});
+}
+
+/// Every version of a churned world pinned through one history cursor.
+void BM_HistoryRollForward(benchmark::State& state) {
+  auto world = MakeChurnWorld(state);
+  const std::vector<Timestamp> versions = AllVersions(*world);
+  uint64_t events_applied = 0;
+  size_t out_of_order = 0;
+  for (auto _ : state) {
+    auto cursor = world->backlog.OpenCursor();
+    if (!cursor.ok()) std::abort();
+    for (Timestamp version : versions) {
+      if (!cursor->AdvanceTo(version).ok()) std::abort();
+      DatabaseView view = cursor->View();
+      benchmark::DoNotOptimize(view);
+    }
+    events_applied = cursor->events_applied();
+    out_of_order = cursor->out_of_order_events();
+  }
+  state.counters["events_applied"] = static_cast<double>(events_applied);
+  state.counters["versions_pinned"] = static_cast<double>(versions.size());
+  state.counters["out_of_order_share"] =
+      static_cast<double>(out_of_order) /
+      static_cast<double>(world->backlog.event_count());
+}
+
+/// The same versions, each replayed into fresh tables from event 0.
+void BM_HistoryReplayFromZero(benchmark::State& state) {
+  auto world = MakeChurnWorld(state);
+  const std::vector<Timestamp> versions = AllVersions(*world);
+  uint64_t events_applied = 0;
+  for (Timestamp version : versions) {
+    events_applied += world->backlog.EventCountAt(version);
+  }
+  for (auto _ : state) {
+    for (Timestamp version : versions) {
+      auto snapshot =
+          oracle::ReplaySnapshotAt(world->db, world->backlog, version);
+      if (!snapshot.ok()) std::abort();
+      DatabaseView view = snapshot->View();
+      benchmark::DoNotOptimize(view);
+    }
+  }
+  state.counters["events_applied"] = static_cast<double>(events_applied);
+  state.counters["versions_pinned"] = static_cast<double>(versions.size());
+}
+
+/// Patients x churn updates x clock skew (s): the ROADMAP probe rows in
+/// time order, and two of them written by two clocks 5 s apart.
+void ProbeRows(benchmark::internal::Benchmark* b) {
+  b->Args({300, 0, 0})
+      ->Args({300, 1600, 0})
+      ->Args({300, 3200, 0})
+      ->Args({1000, 3200, 0})
+      ->Args({300, 1600, 5})
+      ->Args({1000, 3200, 5});
+}
+BENCHMARK(BM_HistoryRollForward)
+    ->Apply(ProbeRows)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HistoryReplayFromZero)
+    ->Apply(ProbeRows)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+/// One default serial audit of a churned world, split by phase.
+void BM_ChurnAuditPhases(benchmark::State& state) {
+  auto world = MakeChurnWorld(state);
+  audit::Auditor auditor(&world->db, &world->backlog, &world->log);
+  double phase_ms[4] = {0, 0, 0, 0};
+  size_t executed = 0;
+  for (auto _ : state) {
+    auto report = auditor.Audit(bench::CanonicalAudit(), Ts(1000000));
+    if (!report.ok()) std::abort();
+    phase_ms[0] += report->static_seconds * 1e3;
+    phase_ms[1] += report->view_seconds * 1e3;
+    phase_ms[2] += report->exec_seconds * 1e3;
+    phase_ms[3] += report->check_seconds * 1e3;
+    executed = report->num_executed;
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["static_ms"] = phase_ms[0] / n;
+  state.counters["view_ms"] = phase_ms[1] / n;
+  state.counters["exec_ms"] = phase_ms[2] / n;
+  state.counters["check_ms"] = phase_ms[3] / n;
+  state.counters["versions"] =
+      static_cast<double>(AllVersions(*world).size());
+  state.counters["candidates_executed"] = static_cast<double>(executed);
+}
+BENCHMARK(BM_ChurnAuditPhases)
+    ->Apply(ProbeRows)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+AUDITDB_BENCH_MAIN(backlog);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "src/audit/audit_stages.h"
@@ -227,34 +227,32 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   report.view_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
-  // Phase 4: execute candidates against their own historical states.
-  // Queries between the same two changes share a state; cache snapshots
-  // by event count.
-  std::unordered_map<size_t, std::unique_ptr<Snapshot>> snapshot_cache;
+  // Phase 4: execute candidates against their own historical states,
+  // visited in timestamp order through one history cursor that keeps only
+  // the current state. Profiles land in per-candidate slots, so the batch
+  // stays in log order.
+  std::vector<Timestamp> times;
+  times.reserve(candidates.size());
+  for (const auto& candidate : candidates) {
+    times.push_back(log_->Entry(candidate.log_index).timestamp);
+  }
+  std::vector<std::optional<AccessProfile>> slots(candidates.size());
+  AUDITDB_RETURN_IF_ERROR(VisitStatesInTimeOrder(
+      *backlog_, pin.backlog_events, times,
+      [&](size_t c, const DatabaseView& state, bool) {
+        auto profile =
+            ComputeAccessProfile(*candidates[c].stmt, state, options.exec);
+        // Execution-time failure (e.g. type error): skip this query but
+        // keep auditing the rest.
+        if (profile.ok()) slots[c] = std::move(*profile);
+        return Status::Ok();
+      }));
   std::vector<AccessProfile> profiles;
   std::vector<int64_t> profile_ids;
-  for (const auto& candidate : candidates) {
-    const LoggedQuery& logged = log_->Entry(candidate.log_index);
-    size_t key = backlog_->EventCountAt(logged.timestamp, pin.backlog_events);
-    auto it = snapshot_cache.find(key);
-    if (it == snapshot_cache.end()) {
-      auto snapshot =
-          backlog_->SnapshotAt(logged.timestamp, pin.backlog_events);
-      if (!snapshot.ok()) return snapshot.status();
-      it = snapshot_cache
-               .emplace(key,
-                        std::make_unique<Snapshot>(std::move(*snapshot)))
-               .first;
-    }
-    auto profile = ComputeAccessProfile(*candidate.stmt, it->second->View(),
-                                        options.exec);
-    if (!profile.ok()) {
-      // Execution-time failure (e.g. type error): skip this query but
-      // keep auditing the rest.
-      continue;
-    }
-    profiles.push_back(std::move(*profile));
-    profile_ids.push_back(logged.id);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (!slots[c].has_value()) continue;
+    profiles.push_back(std::move(*slots[c]));
+    profile_ids.push_back(log_->Entry(candidates[c].log_index).id);
     ++report.num_executed;
   }
 

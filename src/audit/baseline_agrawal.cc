@@ -44,6 +44,11 @@ Result<AgrawalAuditor::Result_> AgrawalAuditor::Audit(
   AUDITDB_RETURN_IF_ERROR(expr.Qualify(db_->catalog()));
 
   Result_ result;
+  // Static phase in log order; the dynamic test then visits the
+  // candidates' states in timestamp order through one history cursor.
+  std::vector<int64_t> ids;
+  std::vector<sql::SelectStatement> stmts;
+  std::vector<Timestamp> times;
   const size_t num_logged = log_->size();
   for (size_t i = 0; i < num_logged; ++i) {
     const auto& logged = log_->Entry(i);
@@ -55,13 +60,22 @@ Result<AgrawalAuditor::Result_> AgrawalAuditor::Audit(
     // static analysis over the logged queries).
     auto candidate = IsSingleCandidate(*stmt, expr, db_->catalog());
     if (!candidate.ok() || !*candidate) continue;
-    ++result.num_candidates;
+    ids.push_back(logged.id);
+    stmts.push_back(std::move(*stmt));
+    times.push_back(logged.timestamp);
+  }
+  result.num_candidates = ids.size();
 
-    auto snapshot = backlog_->SnapshotAt(logged.timestamp);
-    if (!snapshot.ok()) return snapshot.status();
-    auto suspicious = IsSuspicious(*stmt, expr, snapshot->View(), exec);
-    if (!suspicious.ok()) continue;
-    if (*suspicious) result.suspicious_ids.push_back(logged.id);
+  std::vector<char> suspicious(ids.size(), 0);
+  AUDITDB_RETURN_IF_ERROR(VisitStatesInTimeOrder(
+      *backlog_, Backlog::kNoLimit, times,
+      [&](size_t c, const DatabaseView& state, bool) {
+        auto verdict = IsSuspicious(stmts[c], expr, state, exec);
+        suspicious[c] = verdict.ok() && *verdict;
+        return Status::Ok();
+      }));
+  for (size_t c = 0; c < ids.size(); ++c) {
+    if (suspicious[c] != 0) result.suspicious_ids.push_back(ids[c]);
   }
   return result;
 }

@@ -21,6 +21,16 @@ Result<MotwaniAuditor::BatchResult> MotwaniAuditor::Audit(
   BatchResult result;
   std::set<ColumnRef> covered_by_sharing;
 
+  // A query whose semantic test needs the state it ran against.
+  struct SharingCheck {
+    int64_t id;
+    sql::SelectStatement stmt;
+    std::vector<std::string> common;
+    std::set<ColumnRef> accessed;
+  };
+  std::vector<SharingCheck> sharing;
+  std::vector<Timestamp> times;
+
   const size_t num_logged = log_->size();
   for (size_t i = 0; i < num_logged; ++i) {
     const auto& logged = log_->Entry(i);
@@ -62,20 +72,30 @@ Result<MotwaniAuditor::BatchResult> MotwaniAuditor::Audit(
     // just disqualify the query, they don't abort the batch.
     std::vector<std::string> common = CommonTables(*stmt, expr);
     if (common.empty()) continue;
+    sharing.push_back(
+        SharingCheck{logged.id, std::move(*stmt), std::move(common),
+                     std::move(*accessed)});
+    times.push_back(logged.timestamp);
+  }
 
-    auto snapshot = backlog_->SnapshotAt(logged.timestamp);
-    if (!snapshot.ok()) return snapshot.status();
-    auto state = snapshot->View();
-
-    auto query_result = Execute(*stmt, state, exec);
-    if (!query_result.ok()) continue;
-    auto shares =
-        SharesIndispensableTuple(*query_result, expr, common, state, exec);
-    if (!shares.ok() || !*shares) continue;
-
-    result.sharing_ids.push_back(logged.id);
+  // The states are visited in timestamp order through one history cursor;
+  // the witnesses are then listed in log order.
+  std::vector<char> shares(sharing.size(), 0);
+  AUDITDB_RETURN_IF_ERROR(VisitStatesInTimeOrder(
+      *backlog_, Backlog::kNoLimit, times,
+      [&](size_t c, const DatabaseView& state, bool) {
+        auto query_result = Execute(sharing[c].stmt, state, exec);
+        if (!query_result.ok()) return Status::Ok();
+        auto shared = SharesIndispensableTuple(
+            *query_result, expr, sharing[c].common, state, exec);
+        shares[c] = shared.ok() && *shared;
+        return Status::Ok();
+      }));
+  for (size_t c = 0; c < sharing.size(); ++c) {
+    if (shares[c] == 0) continue;
+    result.sharing_ids.push_back(sharing[c].id);
     for (const auto& attr : audit_columns) {
-      if (accessed->count(attr) > 0) covered_by_sharing.insert(attr);
+      if (sharing[c].accessed.count(attr) > 0) covered_by_sharing.insert(attr);
     }
   }
 

@@ -21,56 +21,29 @@ std::vector<ChangeEvent> Backlog::EventsForTable(const std::string& table,
   return out;
 }
 
-Result<Snapshot> Backlog::SnapshotAt(Timestamp t, size_t limit) const {
+Result<HistoryCursor> Backlog::OpenCursor(size_t limit) const {
   if (db_ == nullptr) {
     return Status::Internal("backlog not attached to a database");
   }
   size_t n = ClampLimit(limit);
-  Snapshot snapshot(t);
-  // Create every table the pinned live view knows about (schemas are
-  // immutable once created, so the live catalog is authoritative). Going
-  // through a pinned Snapshot() keeps this safe against concurrent
-  // writers.
+  // Every table the pinned live view knows about (schemas are immutable
+  // once created, so the live catalog is authoritative). Going through a
+  // pinned Snapshot() keeps this safe against concurrent writers.
   DatabaseView live = db_->Snapshot();
+  std::vector<HistoryCursor::TableSpec> tables;
   for (const auto& name : live.TableNames()) {
     auto version = live.GetTable(name);
     if (!version.ok()) return version.status();
-    auto added = snapshot.AddTable((*version)->schema());
-    if (!added.ok()) return added.status();
+    tables.push_back({(*version)->schema(), (*version)->IndexedColumns()});
   }
-  for (size_t i = 0; i < n; ++i) {
-    const ChangeEvent& event = events_.At(i);
-    if (event.timestamp > t) continue;
-    auto table = snapshot.GetTable(event.table);
-    if (!table.ok()) return table.status();
-    switch (event.op) {
-      case ChangeEvent::Op::kInsert:
-        AUDITDB_RETURN_IF_ERROR(
-            (*table)->InsertWithTid(event.row.tid, event.row.values));
-        break;
-      case ChangeEvent::Op::kUpdate:
-        AUDITDB_RETURN_IF_ERROR(
-            (*table)->Update(event.row.tid, event.row.values));
-        break;
-      case ChangeEvent::Op::kDelete: {
-        auto removed = (*table)->Delete(event.row.tid);
-        if (!removed.ok()) return removed.status();
-        break;
-      }
-    }
-  }
-  // Mirror the live tables' secondary indexes (built in bulk after
-  // replay), so historical audits get the same access paths.
-  for (const auto& name : live.TableNames()) {
-    auto version = live.GetTable(name);
-    if (!version.ok()) return version.status();
-    auto table = snapshot.GetTable(name);
-    if (!table.ok()) return table.status();
-    for (const auto& column : (*version)->IndexedColumns()) {
-      AUDITDB_RETURN_IF_ERROR((*table)->CreateIndex(column));
-    }
-  }
-  return snapshot;
+  return HistoryCursor(this, n, std::move(tables));
+}
+
+Result<Snapshot> Backlog::SnapshotAt(Timestamp t, size_t limit) const {
+  auto cursor = OpenCursor(limit);
+  if (!cursor.ok()) return cursor.status();
+  AUDITDB_RETURN_IF_ERROR(cursor->AdvanceTo(t));
+  return std::move(*cursor).Release();
 }
 
 Result<std::unique_ptr<Table>> Backlog::MaterializeBacklogTable(

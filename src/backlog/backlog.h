@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/backlog/history.h"
 #include "src/backlog/snapshot.h"
 #include "src/common/append_log.h"
 #include "src/common/timestamp.h"
@@ -22,7 +23,7 @@ namespace auditdb {
 ///
 /// Events live in an append-only chunked log: audits read any prefix
 /// wait-free while the writer keeps appending. A pinned audit captures
-/// event_count() once and passes it as `limit` to the replay entry points
+/// event_count() once and passes it as `limit` to the history entry points
 /// below, so the whole audit sees one frozen backlog no matter how many
 /// writes land meanwhile.
 class Backlog {
@@ -62,15 +63,19 @@ class Backlog {
   Result<std::unique_ptr<Table>> MaterializeBacklogTable(
       const std::string& table, size_t limit = kNoLimit) const;
 
+  /// Opens a history cursor over the first min(limit, event_count())
+  /// events, with one table per live table (schema and secondary indexes
+  /// taken from the live database now).
+  Result<HistoryCursor> OpenCursor(size_t limit = kNoLimit) const;
+
   /// Reconstructs the state of every table at time `t` (all events with
   /// timestamp <= t applied, in capture order, drawn from the first
-  /// min(limit, event_count()) events).
+  /// min(limit, event_count()) events): one cursor moved once.
   Result<Snapshot> SnapshotAt(Timestamp t, size_t limit = kNoLimit) const;
 
   /// Number of captured events with timestamp <= t among the first
   /// min(limit, event_count()). Two timestamps with equal counts see the
-  /// identical database state, so this is a cheap snapshot-cache key for
-  /// the auditor.
+  /// identical database state.
   size_t EventCountAt(Timestamp t, size_t limit = kNoLimit) const;
 
   /// The timestamps at which a distinct database version exists within the

@@ -13,6 +13,11 @@ Result<Table*> Snapshot::AddTable(TableSchema schema) {
   return ptr;
 }
 
+void Snapshot::PutTable(std::unique_ptr<Table> table) {
+  std::string name = table->name();
+  tables_[std::move(name)] = std::move(table);
+}
+
 Result<const Table*> Snapshot::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   if (it == tables_.end()) {

@@ -21,9 +21,13 @@ class Snapshot {
   Snapshot& operator=(Snapshot&&) = default;
 
   Timestamp time() const { return time_; }
+  void set_time(Timestamp time) { time_ = time; }
 
   /// Adds an (empty) table with the given schema; returns it for filling.
   Result<Table*> AddTable(TableSchema schema);
+
+  /// Adds `table`, replacing any table of the same name.
+  void PutTable(std::unique_ptr<Table> table);
 
   Result<const Table*> GetTable(const std::string& name) const;
   Result<Table*> GetTable(const std::string& name);

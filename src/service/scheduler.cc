@@ -9,7 +9,6 @@
 
 #include "src/audit/audit_stages.h"
 #include "src/audit/candidate.h"
-#include "src/backlog/snapshot.h"
 
 namespace auditdb {
 namespace service {
@@ -65,6 +64,7 @@ AuditScheduler::AuditScheduler(ThreadPool* pool, SchedulerOptions options)
   shards_failed_ = metrics->counter("scheduler.shards_failed");
   static_stage_micros_ = metrics->histogram("scheduler.static_stage_micros");
   exec_stage_micros_ = metrics->histogram("scheduler.exec_stage_micros");
+  view_stage_micros_ = metrics->histogram("scheduler.view_stage_micros");
   check_stage_micros_ = metrics->histogram("scheduler.check_stage_micros");
 }
 
@@ -165,6 +165,7 @@ Result<AuditReport> AuditScheduler::RunPinned(
       auto view = audit::ComputeTargetViewOverVersions(
           expr, backlog, options.exec, pin.backlog_events);
       view_seconds = SecondsSince(start);
+      view_stage_micros_->Observe(MicrosSince(start));
       Status status = view.ok() ? Status::Ok() : view.status();
       view_result =
           std::make_unique<Result<audit::TargetView>>(std::move(view));
@@ -267,76 +268,49 @@ Result<AuditReport> AuditScheduler::RunPinned(
   auto schemes = audit::BuildSchemes(expr);
   report.num_schemes = schemes.size();
 
-  // --- Exec stage: shard along the database-version axis. Snapshot keys
-  // (event counts) group candidates that saw the same state; each
-  // distinct version is reconstructed once, in parallel, then candidate
-  // ranges re-execute against the shared read-only snapshots.
+  // --- Exec stage: one sequential history-cursor pass over the
+  // candidates in timestamp order pins a view per distinct database
+  // version (a new slot only when events lie between two candidates'
+  // times); then candidate ranges re-execute in parallel against those
+  // shared immutable views.
   stage_start = Clock::now();
   const size_t exec_shard =
       EffectiveShard(candidates.size(), options_.exec_shard_size, threads);
-  std::vector<size_t> keys(candidates.size(), 0);
+  constexpr size_t kUnvisited = static_cast<size_t>(-1);
+  std::vector<DatabaseView> slots;
+  std::vector<size_t> slot_of(candidates.size(), kUnvisited);
   std::vector<char> dropped(candidates.size(), 0);
   {
-    auto chunks = Chunks(candidates.size(), exec_shard);
-    std::vector<std::function<Status()>> key_tasks;
-    key_tasks.reserve(chunks.size());
-    for (auto [begin, end] : chunks) {
-      key_tasks.push_back([&, begin, end] {
-        for (size_t c = begin; c < end; ++c) {
+    std::vector<Timestamp> times;
+    times.reserve(candidates.size());
+    for (const auto& candidate : candidates) {
+      times.push_back(log.Entry(candidate.log_index).timestamp);
+    }
+    Status status = VisitStatesInTimeOrder(
+        backlog, pin.backlog_events, times,
+        [&](size_t c, const DatabaseView& state, bool changed) {
           AUDITDB_RETURN_IF_ERROR(ctx.Check());
-          keys[c] = backlog.EventCountAt(
-              log.Entry(candidates[c].log_index).timestamp,
-              pin.backlog_events);
-        }
-        return Status::Ok();
-      });
-    }
-    shards_dispatched_->Increment(key_tasks.size());
-    auto key_statuses = RunBatch(pool_, std::move(key_tasks), ctx);
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      if (key_statuses[i].ok()) continue;
-      if (options_.fail_fast) return key_statuses[i];
-      record_failure("version-key", i, key_statuses[i]);
-      for (size_t c = chunks[i].first; c < chunks[i].second; ++c) {
-        dropped[c] = 1;
-      }
-    }
-  }
-
-  // One snapshot job per distinct database version.
-  std::map<size_t, size_t> slot_of_key;
-  std::vector<Timestamp> slot_time;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (dropped[c] != 0) continue;
-    if (slot_of_key.emplace(keys[c], slot_time.size()).second) {
-      slot_time.push_back(log.Entry(candidates[c].log_index).timestamp);
-    }
-  }
-  std::vector<std::unique_ptr<Snapshot>> snapshots(slot_time.size());
-  {
-    std::vector<std::function<Status()>> snapshot_tasks;
-    snapshot_tasks.reserve(slot_time.size());
-    for (size_t s = 0; s < slot_time.size(); ++s) {
-      snapshot_tasks.push_back([&, s] {
-        auto snapshot = backlog.SnapshotAt(slot_time[s], pin.backlog_events);
-        if (!snapshot.ok()) return snapshot.status();
-        snapshots[s] = std::make_unique<Snapshot>(std::move(*snapshot));
-        return Status::Ok();
-      });
-    }
-    shards_dispatched_->Increment(snapshot_tasks.size());
-    auto snapshot_statuses = RunBatch(pool_, std::move(snapshot_tasks), ctx);
-    for (size_t s = 0; s < snapshot_statuses.size(); ++s) {
-      if (snapshot_statuses[s].ok()) continue;
-      if (options_.fail_fast) return snapshot_statuses[s];
-      record_failure("snapshot", s, snapshot_statuses[s]);
+          if (changed) slots.push_back(state);
+          slot_of[c] = slots.size() - 1;
+          return Status::Ok();
+        });
+    if (!status.ok()) {
+      if (options_.fail_fast) return status;
+      // The pass stopped at the first state it could not build; states
+      // pinned before it stay valid, so only the candidates not yet
+      // visited (those at or after the failing time) are dropped. The
+      // failure is recorded against the first of them in time order.
+      size_t first = kUnvisited;
       for (size_t c = 0; c < candidates.size(); ++c) {
-        if (dropped[c] == 0 && slot_of_key[keys[c]] == s) dropped[c] = 1;
+        if (slot_of[c] != kUnvisited) continue;
+        dropped[c] = 1;
+        if (first == kUnvisited || times[c] < times[first]) first = c;
       }
+      record_failure("history", first, status);
     }
   }
 
-  // Candidate re-execution against the shared snapshots.
+  // Candidate re-execution against the shared views.
   std::vector<std::optional<AccessProfile>> profile_slots(candidates.size());
   {
     auto chunks = Chunks(candidates.size(), exec_shard);
@@ -347,9 +321,8 @@ Result<AuditReport> AuditScheduler::RunPinned(
         for (size_t c = begin; c < end; ++c) {
           AUDITDB_RETURN_IF_ERROR(ctx.Check());
           if (dropped[c] != 0) continue;
-          const Snapshot& snapshot = *snapshots[slot_of_key[keys[c]]];
-          auto profile = ComputeAccessProfile(*candidates[c].stmt,
-                                              snapshot.View(), options.exec);
+          auto profile = ComputeAccessProfile(
+              *candidates[c].stmt, slots[slot_of[c]], options.exec);
           // Execution-time failure (e.g. type error): skip this query
           // but keep auditing the rest — same as the serial auditor.
           if (profile.ok()) profile_slots[c] = std::move(*profile);

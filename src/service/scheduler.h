@@ -33,6 +33,8 @@ struct SchedulerOptions {
 };
 
 /// One shard's failure (stage name, shard index within the stage, error).
+/// For the `history` stage the index is that of the first candidate the
+/// failed pass could not visit.
 struct ShardFailure {
   std::string stage;
   size_t shard = 0;
@@ -46,9 +48,10 @@ struct ShardFailure {
 ///
 ///   static   one job per contiguous log range (admission + parse +
 ///            static candidacy); the target-view job runs concurrently;
-///   exec     one job per database version (snapshot reconstruction),
-///            then one job per candidate range (re-execution with
-///            lineage) against the shared read-only snapshots;
+///   exec     one sequential history-cursor pass pinning a view per
+///            database version the candidates saw, then one job per
+///            candidate range (re-execution with lineage) against the
+///            shared read-only views;
 ///   check    one job per candidate range for per-query suspicion; the
 ///            batch verdict and greedy minimization stay serial (the
 ///            greedy order is part of the output contract).
@@ -134,6 +137,7 @@ class AuditScheduler {
   Counter* shards_dispatched_;
   Counter* shards_failed_;
   Histogram* static_stage_micros_;
+  Histogram* view_stage_micros_;
   Histogram* exec_stage_micros_;
   Histogram* check_stage_micros_;
 };

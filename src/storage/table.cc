@@ -151,6 +151,17 @@ Table::Table(TableSchema schema)
   rows_.SetStats(stats_);
 }
 
+std::unique_ptr<Table> Table::Fork() const {
+  auto fork = std::make_unique<Table>(*schema_);
+  fork->schema_ = schema_;
+  fork->rows_ = rows_;
+  fork->rows_.SetStats(fork->stats_);
+  fork->index_ = index_;
+  fork->secondary_ = secondary_;
+  fork->next_tid_ = next_tid_;
+  return fork;
+}
+
 Status Table::CheckArity(const std::vector<Value>& values) const {
   if (values.size() != schema_->num_columns()) {
     return Status::InvalidArgument(

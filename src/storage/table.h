@@ -230,6 +230,12 @@ class Table {
 
   bool Contains(Tid tid) const { return index_->count(tid) > 0; }
 
+  /// A new table with this table's rows, tids and indexes, sharing their
+  /// storage copy-on-write: a later write to either table copies only what
+  /// it touches. The fork has its own versions, epoch and stats. Must not
+  /// run concurrently with a mutator of this table.
+  std::unique_ptr<Table> Fork() const;
+
   /// Next tid the auto-assigner would use.
   Tid next_tid() const { return next_tid_; }
   /// Raises the auto-assign floor (after explicit-tid inserts).

@@ -245,6 +245,67 @@ TEST_F(SchedulerTest, AuditServiceFrontDoorIsDeterministicAndMetered) {
             std::string::npos);
 }
 
+TEST_F(SchedulerTest, ViewStageHistogramTimesTheTargetView) {
+  ThreadPool pool(PoolOptions(2));
+  AuditScheduler scheduler(&pool);
+  Histogram* view_stage =
+      pool.mutable_metrics()->histogram("scheduler.view_stage_micros");
+  audit::AuditOptions static_only;
+  static_only.static_only = true;
+  ASSERT_TRUE(scheduler
+                  .Run(world_->db, world_->backlog, world_->log, kAudit,
+                       Ts(1000000), static_only)
+                  .ok());
+  EXPECT_EQ(view_stage->count(), 0u);
+  ASSERT_TRUE(scheduler
+                  .Run(world_->db, world_->backlog, world_->log, kAudit,
+                       Ts(1000000))
+                  .ok());
+  EXPECT_EQ(view_stage->count(), 1u);
+  EXPECT_EQ(pool.mutable_metrics()
+                ->histogram("scheduler.exec_stage_micros")
+                ->count(),
+            1u);
+}
+
+TEST_F(SchedulerTest, HistoryErrorDropsOnlyCandidatesNotYetVisited) {
+  Database db;
+  Backlog backlog;
+  backlog.Attach(&db);
+  ASSERT_TRUE(db.CreateTable(TableSchema("T", {{"a", ValueType::kInt}})).ok());
+  ASSERT_TRUE(db.InsertWithTid("T", 1, {Value::Int(1)}, Ts(1)).ok());
+  // Tid 2's update is stamped before its insert, so no state in
+  // [40 s, 50 s) can be built; the history pass fails there.
+  ASSERT_TRUE(db.InsertWithTid("T", 2, {Value::Int(2)}, Ts(50)).ok());
+  ASSERT_TRUE(db.Update("T", 2, {Value::Int(3)}, Ts(40)).ok());
+  QueryLog log;
+  for (int64_t at : {30, 45, 60}) {
+    log.Append("SELECT a FROM T", Ts(at), "alice", "doctor", "treatment");
+  }
+  constexpr char kText[] =
+      "DURING 1/1/1970 to 2/1/1970 "
+      "DATA-INTERVAL 1/1/1970 to 1/1/1970:00-00-35 AUDIT a FROM T";
+  ThreadPool pool(PoolOptions(2));
+
+  AuditScheduler strict(&pool);
+  EXPECT_FALSE(strict.Run(db, backlog, log, kText, Ts(1000000)).ok());
+
+  SchedulerOptions options;
+  options.fail_fast = false;
+  AuditScheduler degrading(&pool, options);
+  std::vector<ShardFailure> failures;
+  auto report = degrading.Run(db, backlog, log, kText, Ts(1000000),
+                              audit::AuditOptions{}, &failures);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->num_candidates, 3u);
+  // The state at 30 s was pinned before the failure and is kept.
+  EXPECT_EQ(report->num_executed, 1u);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].stage, "history");
+  EXPECT_EQ(failures[0].shard, 1u);
+  EXPECT_EQ(failures[0].status.code(), StatusCode::kNotFound);
+}
+
 TEST_F(SchedulerTest, OnlineMonitorParallelObserveMatchesSerial) {
   auto add_expressions = [](audit::OnlineAuditor* monitor) {
     for (const char* text : {kAudit, kThresholdAudit}) {

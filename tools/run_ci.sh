@@ -33,10 +33,12 @@
 # bench_net push-latency sweep, the bench_policy overhead acceptance
 # check (<5% at 0% rule-hit rate), and the bench_mixed MVCC sweep
 # (versioned caching must sustain hot hit rates AND write throughput
-# where the wholesale-invalidation ablation can only have one),
+# where the wholesale-invalidation ablation can only have one) and the
+# bench_backlog roll-forward vs replay history sweep,
 # checking their BENCH_scan.json / BENCH_granule.json /
 # BENCH_index.json / BENCH_push.json
-# / BENCH_policy.json / BENCH_mixed.json / BENCH_repl.json artifacts
+# / BENCH_policy.json / BENCH_mixed.json / BENCH_backlog.json /
+# BENCH_repl.json artifacts
 # (the last from the bench_net replication followers-x-ack sweep).
 #
 # Usage: tools/run_ci.sh [build-dir-prefix]
@@ -63,15 +65,16 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # MVCC read path (snapshot-pinned audits racing writers must stay
 # byte-identical to a quiesced serial run), the subscription registry
 # (publishers vs drainers vs churn), the end-to-end push fan-out
-# (Subscribe/Unsubscribe racing Observe), and the policy engine's
-# Decide/Emit-vs-reload race.
+# (Subscribe/Unsubscribe racing Observe), the policy engine's
+# Decide/Emit-vs-reload race, and the history differentials (scheduler
+# exec shards share the per-version views one history cursor pinned).
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target service_test subscription_test net_test policy_test \
-               common_test
+               common_test history_test
 # TidBitmap rides along: the scheduler suites audit with bitmaps on by
 # default, so the kernels also run under the parallel checkers above.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
-      -R 'SchedulerTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest'
+      -R 'SchedulerTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|HistoryCursorTest|HistoryCursorDifferentialTest|DeltaTargetViewDifferentialTest|DeltaTargetViewErrorTest|HistoryAuditDifferentialTest'
 
 echo "== [4/9] network layer under AddressSanitizer =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -202,14 +205,15 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # dense bit manipulation (word shifts, countr_zero scans, sign-flip
 # encoding of INT64_MIN/MAX tids): run their unit + differential suites,
 # and the suspicion/granule ablation differentials that exercise them
-# end-to-end, with UB checking hot.
+# end-to-end, with UB checking hot. The history differentials ride
+# along (cursor row bookkeeping and the delta view's position sort).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
-      --target common_test suspicion_test bitmap_ablation_test
+      --target common_test suspicion_test bitmap_ablation_test history_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|BitmapAblationTest'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|BitmapAblationTest|HistoryCursorTest|HistoryCursorDifferentialTest|DeltaTargetViewDifferentialTest|DeltaTargetViewErrorTest|HistoryAuditDifferentialTest'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
@@ -600,5 +604,26 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_mixed
   echo "bench_mixed did not write BENCH_mixed.json"; exit 1; }
 grep -q '"benchmarks"' "${PREFIX}-release/bench/BENCH_mixed.json" || {
   echo "BENCH_mixed.json is not benchmark JSON"; exit 1; }
+
+# The history sweep: one roll-forward vs replay-from-zero pair on the
+# smallest churned probe row, in time order and with skewed clocks,
+# proving the bench runs; its fresh BENCH_backlog.json and the committed
+# baseline must parse as JSON, and the baseline must hold the history
+# sweep and the audit phase split.
+cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_backlog
+( cd "${PREFIX}-release/bench" && \
+  ./bench_backlog \
+      --benchmark_filter='BM_History(RollForward|ReplayFromZero)/300/1600/' \
+      --benchmark_min_time=0.05 )
+python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["benchmarks"]' \
+    "${PREFIX}-release/bench/BENCH_backlog.json" || {
+  echo "BENCH_backlog.json is not benchmark JSON"; exit 1; }
+python3 - BENCH_backlog.json <<'PY' || { echo "committed BENCH_backlog.json is incomplete"; exit 1; }
+import json, sys
+names = {b["name"].split("/")[0] for b in json.load(open(sys.argv[1]))["benchmarks"]}
+missing = {"BM_HistoryRollForward", "BM_HistoryReplayFromZero",
+           "BM_ChurnAuditPhases"} - names
+assert not missing, sorted(missing)
+PY
 
 echo "CI gate passed."
