@@ -18,6 +18,7 @@
 #include "src/audit/granule.h"
 #include "src/common/tid_bitmap.h"
 #include "src/types/column_vector.h"
+#include "tests/audit/suspicion_oracle.h"
 
 namespace {
 
@@ -145,8 +146,9 @@ BENCHMARK(BM_SchemeEnumeration)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Experiment P3: the suspicion/candidacy tid-set kernels, hash sets vs
-// compressed bitmaps (SuspicionOptions::tid_bitmaps), at 1M and 10M tids.
+// Experiment P3: the suspicion/candidacy tid-set kernels, hash sets (the
+// set representation the audit layers used before tid bitmaps) vs
+// compressed bitmaps, at 1M and 10M tids.
 //
 // `dense` = consecutive tids (bulk loads; bitset chunks), sparse = stride-41
 // tids (selective predicates; array chunks). The three kernels mirror the
@@ -297,8 +299,9 @@ BENCHMARK(BM_WitnessIntersect)
     ->Unit(benchmark::kMillisecond);
 
 // Args: {rows, bitmap}. The granule validity screen (NULL filtering over
-// the target view's fact batch) at 10M rows, ~1% NULLs: the NonNullRows
-// index vector vs the compressed NonNullBitmap (append fast path).
+// the target view's fact batch) at 10M rows, ~1% NULLs: the test
+// oracle's row-by-row index vector (tests/audit/suspicion_oracle.h) vs the
+// compressed NonNullBitmap (append fast path).
 void BM_ValidityScreen(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const bool bitmap = state.range(1) != 0;
@@ -318,7 +321,7 @@ void BM_ValidityScreen(benchmark::State& state) {
       auto valid = NonNullBitmap(batch, cols);
       benchmark::DoNotOptimize(valid.Cardinality());
     } else {
-      auto valid = NonNullRows(batch, cols);
+      auto valid = audit::oracle::NonNullRows(batch, cols);
       benchmark::DoNotOptimize(valid.size());
     }
   }

@@ -84,7 +84,6 @@ bool RunCombo(bool versioned, size_t writers, size_t auditors,
 
   audit::AuditOptions options;
   options.cache = &cache;
-  options.cache_global_state_keys = !versioned;
 
   std::shared_mutex state_mutex;  // wholesale mode only
   std::atomic<bool> stop{false};

@@ -113,8 +113,8 @@ struct DecisionCacheOptions {
 /// Thread-safe: screenings of distinct expressions share one cache across
 /// worker threads. Stale hits are impossible by construction (the state
 /// key is part of every entry's key), so nothing needs to invalidate the
-/// cache on writes; Invalidate() remains for tests and the wholesale-
-/// invalidation ablation.
+/// cache on writes; Invalidate() remains for tests and for benches that
+/// emulate the old wholesale invalidation.
 class DecisionCache {
  public:
   explicit DecisionCache(DecisionCacheOptions options = DecisionCacheOptions{});
@@ -157,9 +157,9 @@ class DecisionCache {
   void StoreProfile(const sql::QueryShape& shape, uint64_t state_key,
                     std::shared_ptr<const AccessProfile> profile);
 
-  /// Drops every entry. Not needed for correctness anymore (keys carry
-  /// their state); kept for tests and the ablation mode that emulates
-  /// the old wholesale change-listener invalidation.
+  /// Drops every entry. Not needed for correctness (keys carry their
+  /// state); kept for tests and for benches that emulate the old
+  /// wholesale change-listener invalidation.
   void Invalidate();
 
   AuditIndexStats* stats() { return &stats_; }

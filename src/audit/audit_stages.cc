@@ -42,16 +42,11 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
       sql::QueryShape shape = logged.shape.zero()
                                   ? sql::ComputeQueryShape(logged.sql)
                                   : logged.shape;
-      ShapeScreen fresh;
-      ShapeScreen* screened = nullptr;
-      if (cache_ctx.shape_dedup) {
-        auto hit = memo.find(shape);
-        if (hit != memo.end()) screened = &hit->second;
-      }
-      if (screened == nullptr) {
+      auto [entry, inserted] = memo.try_emplace(shape);
+      if (inserted) {
         auto stmt = sql::ParseSelect(logged.sql);
         if (!stmt.ok()) {
-          fresh.parse_failed = true;
+          entry->second.parse_failed = true;
         } else {
           auto shared = std::make_shared<const sql::SelectStatement>(
               std::move(*stmt));
@@ -62,21 +57,19 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
             // Unresolvable columns / unknown tables: the check proved
             // nothing about this query. Record an error verdict, distinct
             // from "statically cleared".
-            fresh.error = true;
+            entry->second.error = true;
           } else if (*candidate) {
-            fresh.candidate = true;
-            fresh.stmt = std::move(shared);
+            entry->second.candidate = true;
+            entry->second.stmt = std::move(shared);
           }
         }
-        screened = cache_ctx.shape_dedup
-                       ? &memo.emplace(shape, std::move(fresh)).first->second
-                       : &fresh;
       }
-      verdict.parse_failed = screened->parse_failed;
-      verdict.error = screened->error;
-      if (screened->candidate) {
+      const ShapeScreen& screen = entry->second;
+      verdict.parse_failed = screen.parse_failed;
+      verdict.error = screen.error;
+      if (screen.candidate) {
         verdict.candidate = true;
-        out.candidates.push_back(ScreenedCandidate{i, screened->stmt});
+        out.candidates.push_back(ScreenedCandidate{i, screen.stmt});
       }
     }
     out.verdicts.push_back(verdict);
@@ -163,20 +156,23 @@ Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
                                       const AuditExpression& expr,
                                       const std::vector<std::string>& common,
                                       const DatabaseView& state,
-                                      const ExecOptions& exec,
-                                      bool tid_bitmaps) {
-  if (tid_bitmaps && common.size() == 1) {
+                                      const ExecOptions& exec) {
+  // Runs only once the query's projection is known to be non-empty.
+  auto execute_audit_query = [&]() {
+    sql::SelectStatement audit_query;
+    audit_query.select_star = true;
+    audit_query.from = expr.from;
+    audit_query.where = expr.where ? expr.where->Clone() : nullptr;
+    return Execute(audit_query, state, exec);
+  };
+
+  if (common.size() == 1) {
     // Single common table: both projections are plain tid sets, so the
     // intersection test is one word-wide bitmap Intersects.
     auto query_tids = query_result.ProjectLineageBitmap(common[0]);
     if (!query_tids.ok()) return query_tids.status();
     if (query_tids->Empty()) return false;
-
-    sql::SelectStatement audit_query;
-    audit_query.select_star = true;
-    audit_query.from = expr.from;
-    audit_query.where = expr.where ? expr.where->Clone() : nullptr;
-    auto audit_result = Execute(audit_query, state, exec);
+    auto audit_result = execute_audit_query();
     if (!audit_result.ok()) return audit_result.status();
     auto audit_tids = audit_result->ProjectLineageBitmap(common[0]);
     if (!audit_tids.ok()) return audit_tids.status();
@@ -186,12 +182,7 @@ Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
   auto query_tuples = query_result.ProjectLineage(common);
   if (!query_tuples.ok()) return query_tuples.status();
   if (query_tuples->empty()) return false;
-
-  sql::SelectStatement audit_query;
-  audit_query.select_star = true;
-  audit_query.from = expr.from;
-  audit_query.where = expr.where ? expr.where->Clone() : nullptr;
-  auto audit_result = Execute(audit_query, state, exec);
+  auto audit_result = execute_audit_query();
   if (!audit_result.ok()) return audit_result.status();
   auto audit_tuples = audit_result->ProjectLineage(common);
   if (!audit_tuples.ok()) return audit_tuples.status();

@@ -43,18 +43,16 @@ struct CandidateCacheContext {
   /// Structural hash of the qualified expression being audited.
   uint64_t expr_hash = 0;
   /// State key the static decisions are valid for (the catalog epoch of
-  /// the pinned view; the global mutation count in ablation mode).
+  /// the pinned view).
   uint64_t state_key = 0;
-  /// Parse + screen once per structural shape instead of once per log
-  /// entry (sound: shape-equal entries lex to identical token streams,
-  /// so they parse and screen identically; admission stays per-entry
-  /// because it reads the entry's user/role/purpose/time annotations).
-  /// Off reproduces the pre-shape behavior for ablation.
-  bool shape_dedup = true;
 };
 
 /// Runs limiting-parameter admission, SQL parsing, and static candidacy
-/// over log entries [begin, end). `expr` must be qualified. Pure apart
+/// over log entries [begin, end). `expr` must be qualified. Parsing and
+/// screening run once per structural query shape (sound: shape-equal
+/// entries lex to identical token streams, so they parse and screen
+/// identically); admission stays per entry because it reads the entry's
+/// user/role/purpose/time annotations. Pure apart
 /// from the (internally synchronized) cache: reads shared state only, so
 /// ranges can run concurrently.
 StaticScreenResult StaticScreenRange(const AuditExpression& expr,
@@ -92,16 +90,14 @@ std::vector<std::string> CommonTables(const sql::SelectStatement& query,
 /// Whether the executed query (`query_result`) shares an indispensable
 /// tuple with the audit expression's target data over the `common`
 /// tables on `state`: both lineages are projected onto `common` and
-/// intersected. The core dynamic test of both baseline auditors.
-/// `tid_bitmaps` routes the single-common-table case through compressed
-/// tid bitmaps (word-wide Intersects instead of tuple-set probes); the
-/// answer and error statuses are identical either way.
+/// intersected. The core dynamic test of both baseline auditors. A
+/// single common table is tested with a word-wide bitmap Intersects
+/// instead of tuple-set probes.
 Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
                                       const AuditExpression& expr,
                                       const std::vector<std::string>& common,
                                       const DatabaseView& state,
-                                      const ExecOptions& exec,
-                                      bool tid_bitmaps = true);
+                                      const ExecOptions& exec);
 
 }  // namespace audit
 }  // namespace auditdb

@@ -170,15 +170,11 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // Phase 1+2: limiting parameters, then static candidacy (the same
   // range helper the concurrent scheduler shards over). Static decisions
   // read only schemas, so their cache key is the catalog epoch — row
-  // writes never evict them (the ablation flag restores the old
-  // evict-on-any-write keying).
+  // writes never evict them.
   CandidateCacheContext cache_ctx;
   cache_ctx.cache = options.cache;
   cache_ctx.expr_hash = std::hash<std::string>{}(report.expression);
-  cache_ctx.state_key = options.cache_global_state_keys
-                            ? db_->mutation_count()
-                            : pin.db.catalog_epoch();
-  cache_ctx.shape_dedup = options.shape_dedup;
+  cache_ctx.state_key = pin.db.catalog_epoch();
   StaticScreenResult screened =
       StaticScreenRange(expr, *log_, pin.db.catalog(), options.candidate, 0,
                         pin.log_size, cache_ctx);

@@ -172,17 +172,13 @@ std::vector<size_t> RowPositions(const TableVersion& table,
   return positions;
 }
 
-/// `db` with `table` narrowed to the rows at `positions` (in row order,
-/// with the same indexes).
+/// `db` with `table` narrowed to the rows at `positions` (in row order).
 Result<DatabaseView> Narrow(const DatabaseView& db, const TableVersion& table,
                             const std::vector<size_t>& positions) {
   Table narrowed(table.schema());
   for (size_t pos : positions) {
     const Row& row = table.rows()[pos];
     AUDITDB_RETURN_IF_ERROR(narrowed.InsertWithTid(row.tid, row.values));
-  }
-  for (const auto& column : table.IndexedColumns()) {
-    AUDITDB_RETURN_IF_ERROR(narrowed.CreateIndex(column));
   }
   DatabaseView out = db;
   out.AddTable(narrowed.CurrentVersion());

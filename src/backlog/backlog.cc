@@ -30,11 +30,11 @@ Result<HistoryCursor> Backlog::OpenCursor(size_t limit) const {
   // once created, so the live catalog is authoritative). Going through a
   // pinned Snapshot() keeps this safe against concurrent writers.
   DatabaseView live = db_->Snapshot();
-  std::vector<HistoryCursor::TableSpec> tables;
+  std::vector<TableSchema> tables;
   for (const auto& name : live.TableNames()) {
     auto version = live.GetTable(name);
     if (!version.ok()) return version.status();
-    tables.push_back({(*version)->schema(), (*version)->IndexedColumns()});
+    tables.push_back((*version)->schema());
   }
   return HistoryCursor(this, n, std::move(tables));
 }

@@ -64,8 +64,8 @@ class Backlog {
       const std::string& table, size_t limit = kNoLimit) const;
 
   /// Opens a history cursor over the first min(limit, event_count())
-  /// events, with one table per live table (schema and secondary indexes
-  /// taken from the live database now).
+  /// events, with one table per live table (schemas taken from the live
+  /// database now).
   Result<HistoryCursor> OpenCursor(size_t limit = kNoLimit) const;
 
   /// Reconstructs the state of every table at time `t` (all events with

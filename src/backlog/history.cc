@@ -8,10 +8,10 @@
 namespace auditdb {
 
 HistoryCursor::HistoryCursor(const Backlog* backlog, size_t limit,
-                             std::vector<TableSpec> tables)
+                             std::vector<TableSchema> tables)
     : backlog_(backlog),
       limit_(limit),
-      specs_(std::move(tables)),
+      schemas_(std::move(tables)),
       base_(Timestamp()) {
   Timestamp latest;
   for (size_t i = 0; i < limit_; ++i) {
@@ -114,18 +114,6 @@ Status HistoryCursor::Move(Timestamp t) {
     if (!table.ok()) return table.status();
     AUDITDB_RETURN_IF_ERROR(Apply(event, *table));
   }
-  if (!indexed_) {
-    // Built in bulk over the first state, then maintained by every
-    // applied event, so historical audits get the live access paths.
-    for (const TableSpec& spec : specs_) {
-      auto table = base_.GetTable(spec.schema.name());
-      if (!table.ok()) return table.status();
-      for (const std::string& column : spec.indexed_columns) {
-        AUDITDB_RETURN_IF_ERROR((*table)->CreateIndex(column));
-      }
-    }
-    indexed_ = true;
-  }
   // Events stamped <= t but captured after one stamped later.
   for (size_t i = next_; i < limit_ && EarliestFrom(i) <= t; ++i) {
     const ChangeEvent& event = backlog_->EventAt(i);
@@ -145,9 +133,8 @@ Status HistoryCursor::Reset() {
   base_ = Snapshot(time_);
   forks_.clear();
   next_ = 0;
-  indexed_ = false;
-  for (const TableSpec& spec : specs_) {
-    auto table = base_.AddTable(spec.schema);
+  for (const TableSchema& schema : schemas_) {
+    auto table = base_.AddTable(schema);
     if (!table.ok()) return table.status();
   }
   return Status::Ok();

@@ -22,8 +22,7 @@ class Backlog;
 /// A forward cursor over the past database states of one pinned backlog
 /// prefix: the single place where backlog events are applied to tables.
 ///
-/// The cursor owns one table per live table (same schema, same secondary
-/// indexes). AdvanceTo(t) brings them to the state at time `t` (every event
+/// The cursor owns one table per live table (same schema). AdvanceTo(t) brings them to the state at time `t` (every event
 /// of the prefix with timestamp <= t applied, in capture order), and View()
 /// pins that state as a DatabaseView. Tables are copy-on-write, so a pinned
 /// view stays valid while the cursor moves on: later events copy only the
@@ -43,17 +42,11 @@ class Backlog;
 /// the cursor.
 class HistoryCursor {
  public:
-  /// One table to maintain: its schema and the live table's indexed
-  /// columns.
-  struct TableSpec {
-    TableSchema schema;
-    std::vector<std::string> indexed_columns;
-  };
-
-  /// Use Backlog::OpenCursor. `limit` must not exceed the backlog's
-  /// published event count.
+  /// Use Backlog::OpenCursor. `tables` are the schemas of the tables to
+  /// maintain; `limit` must not exceed the backlog's published event
+  /// count.
   HistoryCursor(const Backlog* backlog, size_t limit,
-                std::vector<TableSpec> tables);
+                std::vector<TableSchema> tables);
 
   /// Moves the state to time `t`. An error (an event that cannot apply)
   /// is sticky: every later call returns it.
@@ -88,7 +81,7 @@ class HistoryCursor {
 
  private:
   Status Move(Timestamp t);
-  /// Fresh empty tables, indexed after the next move fills them.
+  /// Fresh empty tables.
   Status Reset();
   Status Apply(const ChangeEvent& event, Table* table);
   /// Whether event `i` lies between the previous state and this one.
@@ -98,7 +91,7 @@ class HistoryCursor {
 
   const Backlog* backlog_;
   size_t limit_;
-  std::vector<TableSpec> specs_;
+  std::vector<TableSchema> schemas_;
   size_t out_of_order_ = 0;
   /// EarliestFrom's table; empty when the prefix is in timestamp order
   /// (then it is each event's own timestamp).
@@ -107,7 +100,6 @@ class HistoryCursor {
   /// The base: events [0, next_) applied, all stamped at or before time_.
   Snapshot base_;
   size_t next_ = 0;
-  bool indexed_ = false;
   /// Forks of base tables with the later-captured events stamped at or
   /// before time_ applied.
   std::map<std::string, std::unique_ptr<Table>> forks_;

@@ -56,20 +56,6 @@ class ExecutionContext {
         }
       }
     }
-    original_from_ = stmt_.from;
-    if (options_.reorder_joins && stmt_.from.size() > 1) {
-      AUDITDB_RETURN_IF_ERROR(ReorderJoins());
-    }
-    // lineage_permutation_[i] = position in the (possibly reordered)
-    // execution order of the i-th ORIGINAL table.
-    lineage_permutation_.resize(original_from_.size());
-    for (size_t i = 0; i < original_from_.size(); ++i) {
-      for (size_t j = 0; j < stmt_.from.size(); ++j) {
-        if (stmt_.from[j] == original_from_[i]) {
-          lineage_permutation_[i] = j;
-        }
-      }
-    }
     for (const auto& name : stmt_.from) {
       auto table = db_.GetTable(name);
       if (!table.ok()) return table.status();
@@ -94,7 +80,7 @@ class ExecutionContext {
         projection_slots_.push_back(*slot);
       }
     }
-    result_.from = original_from_;
+    result_.from = stmt_.from;
 
     // Qualify, bind and schedule WHERE conjuncts.
     if (stmt_.where) {
@@ -122,18 +108,6 @@ class ExecutionContext {
     if (options_.hash_join) {
       for (size_t i = 1; i < tables_.size(); ++i) {
         AUDITDB_RETURN_IF_ERROR(PlanHashJoin(i));
-      }
-    }
-
-    // Plan index prefilters: positions not served by a hash join can
-    // restrict their scan through a secondary index when a same-typed
-    // `col op literal` conjunct exists. The conjunct is still evaluated
-    // (the prefilter may be a superset, e.g. around NULLs).
-    prefilters_.resize(tables_.size());
-    if (options_.use_index) {
-      for (size_t i = 0; i < tables_.size(); ++i) {
-        if (hash_plans_[i].enabled) continue;
-        AUDITDB_RETURN_IF_ERROR(PlanIndexPrefilter(i));
       }
     }
 
@@ -186,164 +160,21 @@ class ExecutionContext {
   }
 
   /// Lazily builds position `i`'s TableFilter (local-stage outcomes over
-  /// the table's columnar batch, narrowed to the index prefilter if one
-  /// was planned). Built at most once per query, on first visit.
+  /// the table's columnar batch). Built at most once per query, on first
+  /// visit.
   const TableFilter& Filter(size_t position) {
     if (!filters_[position].has_value()) {
       if (!batches_[position]) {
         batches_[position] = tables_[position]->Columnar();
       }
-      std::optional<std::vector<uint32_t>> selection;
-      if (prefilters_[position].has_value()) {
-        std::vector<uint32_t> rows;
-        rows.reserve(prefilters_[position]->size());
-        for (size_t r : *prefilters_[position]) {
-          rows.push_back(static_cast<uint32_t>(r));
-        }
-        selection = std::move(rows);
-      }
       ScanOptions opts;
       opts.compiled = options_.compiled_scan;
       opts.batch_size = options_.scan_batch_size;
       filters_[position] = BuildTableFilter(*batches_[position],
-                                            stages_[position], selection,
+                                            stages_[position], std::nullopt,
                                             opts);
     }
     return *filters_[position];
-  }
-
-  /// Greedy selectivity-based ordering: cheapest filtered table first,
-  /// then repeatedly the cheapest table connected to the chosen set by an
-  /// equi-join conjunct (falling back to the cheapest remaining).
-  Status ReorderJoins() {
-    // Filtered-cardinality estimate per table: count rows passing the
-    // single-table conjuncts.
-    std::vector<const Expression*> conjuncts;
-    ExprPtr where;
-    if (stmt_.where) {
-      where = stmt_.where->Clone();
-      AUDITDB_RETURN_IF_ERROR(
-          QualifyColumns(where.get(), db_.catalog(), stmt_.from));
-      conjuncts = SplitConjuncts(where.get());
-    }
-
-    std::map<std::string, size_t> estimate;
-    ScanOptions scan_opts;
-    scan_opts.compiled = options_.compiled_scan;
-    scan_opts.batch_size = options_.scan_batch_size;
-    for (const auto& name : stmt_.from) {
-      auto table = db_.GetTable(name);
-      if (!table.ok()) return table.status();
-      auto count =
-          EstimateFilteredCardinality(**table, name, conjuncts, scan_opts);
-      if (!count.ok()) return count.status();
-      estimate[name] = *count;
-    }
-
-    // Equi-join adjacency.
-    std::map<std::string, std::set<std::string>> adjacent;
-    for (const Expression* conjunct : conjuncts) {
-      ColumnRef lhs, rhs;
-      if (IsEquiJoin(*conjunct, &lhs, &rhs)) {
-        adjacent[lhs.table].insert(rhs.table);
-        adjacent[rhs.table].insert(lhs.table);
-      }
-    }
-
-    std::vector<std::string> remaining = stmt_.from;
-    std::vector<std::string> order;
-    std::set<std::string> chosen;
-    while (!remaining.empty()) {
-      size_t best = 0;
-      bool best_connected = false;
-      for (size_t i = 0; i < remaining.size(); ++i) {
-        bool connected = false;
-        for (const auto& t : chosen) {
-          if (adjacent[t].count(remaining[i]) > 0) connected = true;
-        }
-        if (order.empty()) connected = false;  // first pick: pure size
-        bool better;
-        if (connected != best_connected) {
-          better = connected;  // prefer connected tables
-        } else {
-          better = estimate[remaining[i]] < estimate[remaining[best]];
-        }
-        if (i == 0 || better) {
-          best = i;
-          best_connected = connected;
-        }
-      }
-      order.push_back(remaining[best]);
-      chosen.insert(remaining[best]);
-      remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
-    }
-    stmt_.from = std::move(order);
-    return Status::Ok();
-  }
-
-  Status PlanIndexPrefilter(size_t position) {
-    const std::string& this_table = stmt_.from[position];
-    const TableVersion& table = *tables_[position];
-    std::optional<std::vector<Tid>> best;
-    for (const auto& sc : conjuncts_) {
-      if (sc.ready_at != position) continue;
-      ColumnRef col;
-      BinaryOp op;
-      Value literal;
-      if (!IsColumnLiteralComparison(*sc.expr, &col, &op, &literal)) {
-        continue;
-      }
-      if (col.table != this_table || !table.HasIndex(col.column)) continue;
-      // Same-typed only: mixed-type comparisons coerce and must scan.
-      auto col_idx = table.schema().FindColumn(col.column);
-      if (!col_idx.has_value() ||
-          table.schema().column(*col_idx).type != literal.type()) {
-        continue;
-      }
-      Result<std::vector<Tid>> tids = std::vector<Tid>{};
-      switch (op) {
-        case BinaryOp::kEq:
-          tids = table.IndexLookupEq(col.column, literal);
-          break;
-        case BinaryOp::kLt:
-          tids = table.IndexLookupRange(
-              col.column, std::nullopt,
-              IndexBound{literal, /*strict=*/true});
-          break;
-        case BinaryOp::kLe:
-          tids = table.IndexLookupRange(
-              col.column, std::nullopt,
-              IndexBound{literal, /*strict=*/false});
-          break;
-        case BinaryOp::kGt:
-          tids = table.IndexLookupRange(
-              col.column, IndexBound{literal, /*strict=*/true},
-              std::nullopt);
-          break;
-        case BinaryOp::kGe:
-          tids = table.IndexLookupRange(
-              col.column, IndexBound{literal, /*strict=*/false},
-              std::nullopt);
-          break;
-        default:
-          continue;  // <> and LIKE don't index
-      }
-      if (!tids.ok()) return tids.status();
-      if (!best.has_value() || tids->size() < best->size()) {
-        best = std::move(*tids);
-      }
-    }
-    if (best.has_value()) {
-      std::vector<size_t> positions;
-      positions.reserve(best->size());
-      for (Tid tid : *best) {
-        auto pos = table.GetPosition(tid);
-        if (!pos.ok()) continue;
-        positions.push_back(*pos);
-      }
-      prefilters_[position] = std::move(positions);
-    }
-    return Status::Ok();
   }
 
   Status PlanHashJoin(size_t position) {
@@ -396,13 +227,7 @@ class ExecutionContext {
         out.push_back(combined_[static_cast<size_t>(slot)]);
       }
       result_.rows.push_back(std::move(out));
-      // Lineage in the query's original FROM order, independent of any
-      // join reordering.
-      std::vector<Tid> original_tids(tids_.size());
-      for (size_t i = 0; i < tids_.size(); ++i) {
-        original_tids[i] = tids_[lineage_permutation_[i]];
-      }
-      result_.lineage.push_back(std::move(original_tids));
+      result_.lineage.push_back(tids_);
       return Status::Ok();
     }
 
@@ -475,12 +300,6 @@ class ExecutionContext {
       }
       return Status::Ok();
     }
-    if (prefilters_[position].has_value()) {
-      for (size_t r : *prefilters_[position]) {
-        AUDITDB_RETURN_IF_ERROR(try_row(r));
-      }
-      return Status::Ok();
-    }
     for (size_t r = 0; r < table.rows().size(); ++r) {
       AUDITDB_RETURN_IF_ERROR(try_row(r));
     }
@@ -492,13 +311,10 @@ class ExecutionContext {
   sql::SelectStatement stmt_;
 
   std::vector<const TableVersion*> tables_;
-  std::vector<std::string> original_from_;
-  std::vector<size_t> lineage_permutation_;
   RowLayout layout_;
   std::vector<int> projection_slots_;
   std::vector<ScheduledConjunct> conjuncts_;
   std::vector<HashJoinPlan> hash_plans_;
-  std::vector<std::optional<std::vector<size_t>>> prefilters_;
   std::vector<std::vector<ScanStage>> stages_;
   std::vector<std::shared_ptr<const Batch>> batches_;
   std::vector<std::optional<TableFilter>> filters_;
@@ -509,17 +325,6 @@ class ExecutionContext {
 };
 
 }  // namespace
-
-std::set<Tid> QueryResult::IndispensableTids(const std::string& table) const {
-  std::set<Tid> out;
-  for (size_t j = 0; j < from.size(); ++j) {
-    if (from[j] != table) continue;
-    for (const auto& tuple : lineage) {
-      if (j < tuple.size()) out.insert(tuple[j]);
-    }
-  }
-  return out;
-}
 
 TidBitmap QueryResult::IndispensableTidBitmap(const std::string& table) const {
   TidBitmap out;

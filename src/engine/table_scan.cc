@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/expr/analysis.h"
-
 namespace auditdb {
 
 PredicateProgram::Outcome RunChunked(const PredicateProgram& program,
@@ -97,59 +95,6 @@ TableFilter BuildTableFilter(
   }
   f.passing_ = std::move(cur);
   return f;
-}
-
-Result<size_t> EstimateFilteredCardinality(
-    const TableVersion& table, const std::string& name,
-    const std::vector<const Expression*>& conjuncts, const ScanOptions& opts) {
-  RowLayout single;
-  single.AddTable(name, table.schema());
-  std::vector<ExprPtr> bound;
-  for (const Expression* conjunct : conjuncts) {
-    bool local = true;
-    for (const auto& col : CollectColumns(conjunct)) {
-      if (col.table != name) {
-        local = false;
-        break;
-      }
-    }
-    if (!local) continue;
-    ExprPtr clone = conjunct->Clone();
-    AUDITDB_RETURN_IF_ERROR(BindExpression(clone.get(), single));
-    bound.push_back(std::move(clone));
-  }
-  if (bound.empty()) return table.rows().size();
-
-  if (opts.compiled) {
-    std::vector<ExprPtr> clones;
-    clones.reserve(bound.size());
-    for (const auto& b : bound) clones.push_back(b->Clone());
-    ExprPtr conj = Expression::MakeConjunction(std::move(clones));
-    auto program = PredicateProgram::Compile(*conj, 0, single.width());
-    if (program.ok()) {
-      auto batch = table.Columnar();
-      TidBitmap all;
-      all.AddRange(0, static_cast<int64_t>(batch->num_rows));
-      auto out = RunChunkedToBitmap(*program, *batch, all, opts.batch_size);
-      // Errors count as fail (they are excluded from `passed`), matching
-      // the interpreted estimate below.
-      return static_cast<size_t>(out.passed.Cardinality());
-    }
-  }
-
-  size_t count = 0;
-  for (const Row& row : table.rows()) {
-    bool pass = true;
-    for (const auto& conjunct : bound) {
-      auto ok = EvaluatePredicate(conjunct.get(), row.values);
-      if (!ok.ok() || !*ok) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) ++count;
-  }
-  return count;
 }
 
 }  // namespace auditdb

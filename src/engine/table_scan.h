@@ -43,7 +43,7 @@ struct ScanStage {
 /// are tri-state so that a row whose predicate ERRORS surfaces the
 /// interpreter's exact Status — but only when the row is actually visited
 /// during enumeration, preserving the row-at-a-time executor's behavior
-/// for rows a hash-join bucket or prefilter never reaches.
+/// for rows a hash-join bucket never reaches.
 ///
 /// A later local stage's states are computed only for rows that passed
 /// every earlier LOCAL stage; interleaved cross stages can only narrow
@@ -120,15 +120,6 @@ TableFilter BuildTableFilter(
     const Batch& batch, const std::vector<ScanStage>& stages,
     const std::optional<std::vector<uint32_t>>& selection,
     const ScanOptions& opts);
-
-/// Filtered-cardinality estimate for join reordering: the number of rows
-/// of `table` passing the conjuncts (qualified, unbound) that read only
-/// `name`'s columns. A row whose evaluation errors counts as failing.
-/// Shared by the executor's reorder planner and callers that want a
-/// standalone selectivity probe.
-Result<size_t> EstimateFilteredCardinality(
-    const TableVersion& table, const std::string& name,
-    const std::vector<const Expression*>& conjuncts, const ScanOptions& opts);
 
 }  // namespace auditdb
 

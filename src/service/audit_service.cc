@@ -58,7 +58,7 @@ Result<audit::AuditReport> AuditService::AuditPinned(
     const audit::AuditOptions& options, std::vector<ShardFailure>* failures) {
   auto expr = audit::ParseAudit(audit_text, now);
   if (!expr.ok()) return expr.status();
-  return scheduler_.RunPinned(*db_, *backlog_, *log_, *expr, pin,
+  return scheduler_.RunPinned(*backlog_, *log_, *expr, pin,
                               WithCache(options), failures);
 }
 

@@ -96,11 +96,11 @@ Result<AuditReport> AuditScheduler::Run(const Database& db,
   pin.log_size = log.size();
   pin.backlog_events = backlog.event_count();
   pin.db = db.Snapshot();
-  return RunPinned(db, backlog, log, parsed, pin, options, failures);
+  return RunPinned(backlog, log, parsed, pin, options, failures);
 }
 
 Result<AuditReport> AuditScheduler::RunPinned(
-    const Database& db, const Backlog& backlog, const QueryLog& log,
+    const Backlog& backlog, const QueryLog& log,
     const AuditExpression& parsed, const audit::AuditPin& pin,
     const AuditOptions& options, std::vector<ShardFailure>* failures) const {
   runs_->Increment();
@@ -142,10 +142,7 @@ Result<AuditReport> AuditScheduler::RunPinned(
   audit::CandidateCacheContext cache_ctx;
   cache_ctx.cache = options.cache;
   cache_ctx.expr_hash = std::hash<std::string>{}(report.expression);
-  cache_ctx.state_key = options.cache_global_state_keys
-                            ? db.mutation_count()
-                            : pin.db.catalog_epoch();
-  cache_ctx.shape_dedup = options.shape_dedup;
+  cache_ctx.state_key = pin.db.catalog_epoch();
 
   std::vector<std::function<Status()>> tasks;
   tasks.reserve(static_ranges.size() + 1);

@@ -90,11 +90,8 @@ class AuditScheduler {
   /// callers that must make the pin capture atomic with respect to state
   /// transitions the stores themselves don't order (e.g. the server pins
   /// under a brief shared lock so a concurrent dump load stays atomic,
-  /// then audits with no lock held at all). `db` is only consulted for
-  /// the wholesale-invalidation ablation's global state key; all data is
-  /// read from `pin`.
-  Result<audit::AuditReport> RunPinned(const Database& db,
-                                       const Backlog& backlog,
+  /// then audits with no lock held at all). All data is read from `pin`.
+  Result<audit::AuditReport> RunPinned(const Backlog& backlog,
                                        const QueryLog& log,
                                        const audit::AuditExpression& expr,
                                        const audit::AuditPin& pin,

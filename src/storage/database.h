@@ -122,9 +122,9 @@ class Database {
   DatabaseView View() const { return Snapshot(); }
 
   /// Number of mutations applied so far (bumped on every trigger-firing
-  /// change, before listeners run). Retained for the wholesale-
-  /// invalidation ablation and coarse staleness checks; the audit layers
-  /// now key cached decisions on per-table version epochs instead.
+  /// change, before listeners run). A coarse staleness check; the audit
+  /// layers key cached decisions on the catalog epoch and per-table
+  /// version epochs instead.
   uint64_t mutation_count() const {
     return mutation_count_.load(std::memory_order_acquire);
   }

@@ -217,14 +217,9 @@ struct Batch {
   size_t num_columns() const { return columns.size(); }
 };
 
-/// Ascending indices of the rows whose cells are non-NULL in every listed
-/// column (the audit layers' validity screen for granule schemes).
-std::vector<size_t> NonNullRows(const Batch& batch,
-                                const std::vector<size_t>& columns);
-
-/// Same validity screen as a compressed row bitmap (row index as tid).
-/// Iterates ascending, so converting back to indices reproduces
-/// NonNullRows exactly.
+/// Rows whose cells are non-NULL in every listed column, as a compressed
+/// row bitmap (row index as tid; iterates ascending): the audit layers'
+/// validity screen for granule schemes.
 TidBitmap NonNullBitmap(const Batch& batch,
                         const std::vector<size_t>& columns);
 

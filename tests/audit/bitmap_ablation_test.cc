@@ -1,24 +1,112 @@
-// End-to-end ablation of AuditOptions::suspicion.tid_bitmaps: full audit
-// reports must be byte-identical (CanonicalString) with the compressed
-// bitmap kernels on and off, across indispensability modes, value
-// containment, and a generated workload. Also differentials the
-// GranuleEnumerator validity-screen kernels.
+// The audit check phase against the set-based oracle (suspicion_oracle.h),
+// which holds the hash/tuple-set reference the compressed tid bitmaps
+// replaced: a full Auditor report must be byte-identical (CanonicalString)
+// to the same report with its check-phase fields (batch verdict, evidence,
+// per-query verdicts, minimal batch) recomputed by the oracle, across
+// indispensability modes, value containment, and a generated workload.
+// Also differentials the GranuleEnumerator validity screen against the
+// oracle's NULL screen.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/audit/audit_parser.h"
 #include "src/audit/auditor.h"
 #include "src/audit/granule.h"
+#include "src/backlog/history.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
+#include "tests/audit/suspicion_oracle.h"
 
 namespace auditdb {
 namespace audit {
 namespace {
 
 Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
+
+/// Audits `text` with the Auditor, recomputes the report's check phase
+/// with the oracle from the same target view and the candidates' profiles
+/// (each executed on its own historical state), and expects both reports
+/// byte-identical. Returns the Auditor's report.
+AuditReport ExpectMatchesOracle(const Database& db, const Backlog& backlog,
+                                const QueryLog& log, const std::string& text,
+                                const AuditOptions& options) {
+  Auditor auditor(&db, &backlog, &log);
+  auto report = auditor.Audit(text, Ts(1000), options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return AuditReport{};
+
+  auto expr = ParseAudit(text, Ts(1000));
+  EXPECT_TRUE(expr.ok());
+  EXPECT_TRUE(expr->Qualify(db.View().catalog()).ok());
+  auto view = ComputeTargetViewOverVersions(*expr, backlog);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  if (!view.ok()) return *report;
+  const auto schemes = BuildSchemes(*expr);
+
+  // Verdicts are in log order, one per entry.
+  std::vector<size_t> candidates;
+  std::vector<Timestamp> times;
+  for (size_t i = 0; i < report->verdicts.size(); ++i) {
+    if (!report->verdicts[i].candidate) continue;
+    candidates.push_back(i);
+    times.push_back(log.Entry(i).timestamp);
+  }
+  std::vector<std::optional<AccessProfile>> slots(candidates.size());
+  EXPECT_TRUE(VisitStatesInTimeOrder(
+                  backlog, Backlog::kNoLimit, times,
+                  [&](size_t c, const DatabaseView& state, bool) {
+                    auto stmt =
+                        sql::ParseSelect(log.Entry(candidates[c]).sql);
+                    if (!stmt.ok()) return stmt.status();
+                    auto profile = ComputeAccessProfile(*stmt, state);
+                    if (profile.ok()) slots[c] = std::move(*profile);
+                    return Status::Ok();
+                  })
+                  .ok());
+  std::vector<AccessProfile> profiles;
+  std::vector<int64_t> ids;
+  std::vector<size_t> verdict_of;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (!slots[c].has_value()) continue;
+    profiles.push_back(std::move(*slots[c]));
+    ids.push_back(report->verdicts[candidates[c]].query_id);
+    verdict_of.push_back(candidates[c]);
+  }
+  std::vector<const AccessProfile*> batch;
+  for (const auto& profile : profiles) batch.push_back(&profile);
+
+  const IndispensabilityMode mode = options.suspicion.mode;
+  AuditReport recheck = *report;
+  recheck.minimal_batch.clear();
+  for (auto& verdict : recheck.verdicts) verdict.suspicious_alone = false;
+  auto batch_result =
+      oracle::CheckBatchSuspicion(*view, schemes, expr->threshold,
+                                  expr->indispensable, batch, mode);
+  EXPECT_TRUE(batch_result.ok());
+  if (!batch_result.ok()) return *report;
+  recheck.batch_suspicious = batch_result->suspicious;
+  recheck.evidence = batch_result->Describe(*view, schemes);
+  for (size_t p = 0; p < profiles.size(); ++p) {
+    auto single = oracle::CheckBatchSuspicion(*view, schemes,
+                                              expr->threshold,
+                                              expr->indispensable,
+                                              {&profiles[p]}, mode);
+    EXPECT_TRUE(single.ok());
+    recheck.verdicts[verdict_of[p]].suspicious_alone =
+        single.ok() && single->suspicious;
+  }
+  if (recheck.batch_suspicious) {
+    auto minimal =
+        oracle::MinimizeBatch(*view, schemes, *expr, profiles, ids, mode);
+    EXPECT_TRUE(minimal.ok());
+    if (minimal.ok()) recheck.minimal_batch = *minimal;
+  }
+  EXPECT_EQ(report->CanonicalString(), recheck.CanonicalString());
+  return *report;
+}
 
 class BitmapAblationTest : public ::testing::Test {
  protected:
@@ -31,22 +119,13 @@ class BitmapAblationTest : public ::testing::Test {
     return log_.Append(sql, Ts(at_seconds), "alice", "doctor", "treatment");
   }
 
-  AuditReport MustAudit(const std::string& text, const AuditOptions& options) {
-    Auditor auditor(&db_, &backlog_, &log_);
-    auto report = auditor.Audit(text, Ts(1000), options);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(*report);
-  }
-
-  /// Audits `text` with tid_bitmaps on and off (same base options
-  /// otherwise) and asserts the rendered reports are byte-identical.
+  /// Audits `text` and expects the report to match the oracle's. The
+  /// scenarios are built to disclose: a vacuous match on a clean report
+  /// would prove nothing.
   void ExpectByteIdentical(const std::string& text,
-                           AuditOptions options = AuditOptions{}) {
-    options.suspicion.tid_bitmaps = true;
-    auto with = MustAudit(text, options);
-    options.suspicion.tid_bitmaps = false;
-    auto without = MustAudit(text, options);
-    EXPECT_EQ(with.CanonicalString(), without.CanonicalString());
+                           const AuditOptions& options = AuditOptions{}) {
+    auto report = ExpectMatchesOracle(db_, backlog_, log_, text, options);
+    EXPECT_TRUE(report.batch_suspicious);
   }
 
   const std::string kSpan =
@@ -124,43 +203,40 @@ TEST_F(BitmapAblationTest, GeneratedWorkloadByteIdentical) {
                     IndispensabilityMode::kJointPerQuery}) {
     AuditOptions options;
     options.suspicion.mode = mode;
-    Auditor auditor(&db, &backlog, &log);
-    options.suspicion.tid_bitmaps = true;
-    auto with = auditor.Audit(text, Ts(1000), options);
-    ASSERT_TRUE(with.ok()) << with.status().ToString();
-    options.suspicion.tid_bitmaps = false;
-    auto without = auditor.Audit(text, Ts(1000), options);
-    ASSERT_TRUE(without.ok()) << without.status().ToString();
-    EXPECT_EQ(with->CanonicalString(), without->CanonicalString());
+    auto report = ExpectMatchesOracle(db, backlog, log, text, options);
     // The workload is built to contain at least some disclosing queries;
     // guard against the comparison passing vacuously on empty verdicts.
-    EXPECT_GT(with->num_candidates, 0u);
+    EXPECT_GT(report.num_candidates, 0u);
   }
 }
 
 TEST_F(BitmapAblationTest, GranuleScreenKernelsAgree) {
+  // P-Personal.age holds a NULL in the paper database, so the screen has
+  // a fact to drop.
   auto parsed = ParseAudit(
-      "AUDIT (name,disease,address) "
-      "FROM P-Personal, P-Health, P-Employ "
-      "WHERE P-Personal.pid=P-Health.pid and P-Health.pid=P-Employ.pid "
-      "and P-Personal.zipcode='145568' and P-Employ.salary > 10000 "
-      "and P-Health.disease='diabetic'",
+      "AUDIT (name,age,disease) "
+      "FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid",
       Ts(1000));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_TRUE(parsed->Qualify(db_.catalog()).ok());
   auto view = ComputeTargetView(*parsed, db_.View(), Ts(1));
   ASSERT_TRUE(view.ok());
-  GranuleEnumerator with(*view, BuildSchemes(*parsed), parsed->threshold,
-                         /*use_bitmaps=*/true);
-  GranuleEnumerator without(*view, BuildSchemes(*parsed), parsed->threshold,
-                            /*use_bitmaps=*/false);
-  ASSERT_EQ(with.schemes().size(), without.schemes().size());
-  for (size_t s = 0; s < with.schemes().size(); ++s) {
-    EXPECT_EQ(with.ValidFacts(s), without.ValidFacts(s));
-    EXPECT_EQ(with.EffectiveK(s), without.EffectiveK(s));
+  const Batch batch = view->ToBatch();
+  GranuleEnumerator granules(*view, BuildSchemes(*parsed), parsed->threshold);
+  bool dropped = false;
+  for (size_t s = 0; s < granules.schemes().size(); ++s) {
+    std::vector<size_t> columns;
+    for (const auto& attr : granules.schemes()[s].attrs) {
+      auto idx = view->ColumnIndex(attr);
+      ASSERT_TRUE(idx.ok());
+      columns.push_back(*idx);
+    }
+    const auto expected = oracle::NonNullRows(batch, columns);
+    EXPECT_EQ(granules.ValidFacts(s), expected);
+    dropped = dropped || expected.size() < view->size();
   }
-  EXPECT_DOUBLE_EQ(with.CountGranules(), without.CountGranules());
-  EXPECT_EQ(with.RenderDistinct(64), without.RenderDistinct(64));
+  EXPECT_TRUE(dropped);
 }
 
 }  // namespace

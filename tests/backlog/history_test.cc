@@ -1,9 +1,9 @@
 /// The history cursor against the replay-from-zero oracle: at every
 /// version of seeded random histories (inserts, updates, deletes,
-/// re-inserts of retired tids, equal timestamps, indexed and unindexed
-/// tables, out-of-order prefixes) a cursor view must equal the replayed
-/// state in rows, row order, tids and index lookups, and the tids it
-/// reports as touched must cover every row that changed.
+/// re-inserts of retired tids, equal timestamps, several tables,
+/// out-of-order prefixes) a cursor view must equal the replayed state in
+/// rows, row order and tids, and the tids it reports as touched must
+/// cover every row that changed.
 
 #include "src/backlog/history.h"
 
@@ -26,34 +26,12 @@ namespace {
 Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
 
 /// Renders everything a reader of a table version can observe: rows in
-/// order with tids and values, indexed columns, and index lookups for
-/// every value present plus one absent value and a range per column.
+/// order with tids and values.
 std::string Observe(const TableVersion& table) {
   std::string out = table.name() + " size=" + std::to_string(table.size());
   for (const Row& row : table.rows()) {
     out += "\n  " + TidToString(row.tid) + ":";
     for (const Value& v : row.values) out += " " + v.ToDisplayString();
-  }
-  for (const auto& column : table.IndexedColumns()) {
-    auto col = table.schema().FindColumn(column);
-    std::set<Value> values;
-    for (const Row& row : table.rows()) values.insert(row.values[*col]);
-    values.insert(Value::Int(-1));
-    for (const Value& value : values) {
-      auto hits = table.IndexLookupEq(column, value);
-      out += "\n  idx " + column + "=" + value.ToDisplayString() + ":";
-      if (!hits.ok()) {
-        out += " " + hits.status().ToString();
-        continue;
-      }
-      for (Tid tid : *hits) out += " " + TidToString(tid);
-    }
-    auto range = table.IndexLookupRange(column, IndexBound{Value::Int(3)},
-                                        IndexBound{Value::Int(7), true});
-    out += "\n  idx " + column + " in [3,7):";
-    if (range.ok()) {
-      for (Tid tid : *range) out += " " + TidToString(tid);
-    }
   }
   return out;
 }
@@ -78,8 +56,8 @@ std::string RowOf(const DatabaseView& view, const std::string& table,
   return out;
 }
 
-/// A seeded random history over three tables: A(k, n) with indexes on
-/// both columns, B(k, w) without indexes and C(x), which no audit reads.
+/// A seeded random history over three tables: A(k, n), B(k, w) and C(x),
+/// which no audit reads.
 struct RandomHistory {
   Database db;
   Backlog backlog;
@@ -95,8 +73,6 @@ struct RandomHistory {
                     .ok());
     EXPECT_TRUE(
         db.CreateTable(TableSchema("C", {{"x", ValueType::kInt}})).ok());
-    EXPECT_TRUE((*db.GetTable("A"))->CreateIndex("k").ok());
-    EXPECT_TRUE((*db.GetTable("A"))->CreateIndex("n").ok());
 
     Random rng(seed);
     const char* kTables[] = {"A", "B", "C"};

@@ -31,8 +31,7 @@ inline bool InTimeOrder(const Backlog& backlog) {
 
 /// The state at `t`: every event among the first min(limit,
 /// event_count()) with timestamp <= t applied, in capture order, to
-/// fresh tables with `db`'s live schemas; the live secondary indexes are
-/// built in bulk after the replay.
+/// fresh tables with `db`'s live schemas.
 inline Result<Snapshot> ReplaySnapshotAt(const Database& db,
                                          const Backlog& backlog, Timestamp t,
                                          size_t limit = Backlog::kNoLimit) {
@@ -66,28 +65,17 @@ inline Result<Snapshot> ReplaySnapshotAt(const Database& db,
       }
     }
   }
-  for (const auto& name : live.TableNames()) {
-    auto version = live.GetTable(name);
-    if (!version.ok()) return version.status();
-    auto table = snapshot.GetTable(name);
-    if (!table.ok()) return table.status();
-    for (const auto& column : (*version)->IndexedColumns()) {
-      AUDITDB_RETURN_IF_ERROR((*table)->CreateIndex(column));
-    }
-  }
   return snapshot;
 }
 
 /// U over every DATA-INTERVAL version, each version evaluated in full on
-/// its replayed state and merged in first-observed order. Join reordering
-/// is forced off: the nested-loop order (ascending FROM-order row
-/// positions) is the order rule the delta evaluation must reproduce under
-/// any plan.
+/// its replayed state and merged in first-observed order. The
+/// nested-loop order (ascending FROM-order row positions) is the order
+/// rule the delta evaluation must reproduce under any plan.
 inline Result<audit::TargetView> RecomputeTargetViewOverVersions(
     const audit::AuditExpression& expr, const Database& db,
-    const Backlog& backlog, ExecOptions options = ExecOptions{},
+    const Backlog& backlog, const ExecOptions& options = ExecOptions{},
     size_t limit = Backlog::kNoLimit) {
-  options.reorder_joins = false;
   audit::TargetView merged;
   merged.tables = expr.from;
   std::unordered_set<std::pair<std::vector<Tid>, std::vector<Value>>,

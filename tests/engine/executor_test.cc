@@ -40,9 +40,9 @@ TEST_F(ExecutorTest, LineageIdentifiesBaseTuples) {
   EXPECT_EQ(result->lineage[0], (std::vector<Tid>{11}));
   EXPECT_EQ(result->lineage[1], (std::vector<Tid>{13}));
   EXPECT_EQ(result->lineage[2], (std::vector<Tid>{14}));
-  EXPECT_EQ(result->IndispensableTids("P-Personal"),
-            (std::set<Tid>{11, 13, 14}));
-  EXPECT_TRUE(result->IndispensableTids("P-Health").empty());
+  EXPECT_EQ(result->IndispensableTidBitmap("P-Personal").ToVector(),
+            (std::vector<Tid>{11, 13, 14}));
+  EXPECT_TRUE(result->IndispensableTidBitmap("P-Health").Empty());
 }
 
 TEST_F(ExecutorTest, SelectStar) {
@@ -153,93 +153,6 @@ TEST_F(ExecutorTest, StringNumericJoinFallsBackToNestedLoop) {
   auto result = Run("SELECT name FROM P-Personal WHERE zipcode = 145568");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 2u);
-}
-
-TEST_F(ExecutorTest, IndexPrefilterPreservesResultsAndOrder) {
-  auto table = db_.GetTable("P-Personal");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->CreateIndex("zipcode").ok());
-  ASSERT_TRUE((*table)->CreateIndex("age").ok());
-
-  const char* kQueries[] = {
-      "SELECT name FROM P-Personal WHERE zipcode = '145568'",
-      "SELECT name FROM P-Personal WHERE age < 30",
-      "SELECT name FROM P-Personal WHERE age >= 25",
-      "SELECT name, disease FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid = P-Health.pid AND zipcode = '145568'",
-  };
-  for (const char* sql : kQueries) {
-    ExecOptions indexed;
-    indexed.use_index = true;
-    ExecOptions scan;
-    scan.use_index = false;
-    auto a = Run(sql, indexed);
-    auto b = Run(sql, scan);
-    ASSERT_TRUE(a.ok()) << sql;
-    ASSERT_TRUE(b.ok()) << sql;
-    EXPECT_EQ(a->rows, b->rows) << sql;       // same rows, same order
-    EXPECT_EQ(a->lineage, b->lineage) << sql;
-  }
-}
-
-TEST_F(ExecutorTest, IndexSkipsMixedTypeLiterals) {
-  auto table = db_.GetTable("P-Personal");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->CreateIndex("zipcode").ok());
-  // zipcode is STRING; an int literal coerces and must bypass the index.
-  auto result = Run("SELECT name FROM P-Personal WHERE zipcode = 145568");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rows.size(), 2u);
-}
-
-TEST_F(ExecutorTest, IndexHandlesNullColumn) {
-  auto table = db_.GetTable("P-Personal");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->CreateIndex("age").ok());
-  // Reku's age is NULL: must never match an indexed range.
-  auto result = Run("SELECT name FROM P-Personal WHERE age < 100");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rows.size(), 3u);
-}
-
-TEST_F(ExecutorTest, JoinReorderingKeepsSemantics) {
-  const char* kQueries[] = {
-      "SELECT name, disease FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid = P-Health.pid AND disease = 'diabetic'",
-      "SELECT name, disease, salary "
-      "FROM P-Personal, P-Health, P-Employ "
-      "WHERE P-Personal.pid=P-Health.pid AND P-Health.pid=P-Employ.pid "
-      "AND salary > 10000 AND zipcode = '145568'",
-      // A highly selective predicate on the LAST table: reordering should
-      // still produce identical rows and lineage layout.
-      "SELECT name FROM P-Personal, P-Employ "
-      "WHERE P-Personal.pid = P-Employ.pid AND employer = 'E2'",
-  };
-  for (const char* sql : kQueries) {
-    ExecOptions plain;
-    ExecOptions reordered;
-    reordered.reorder_joins = true;
-    auto a = Run(sql, plain);
-    auto b = Run(sql, reordered);
-    ASSERT_TRUE(a.ok()) << sql;
-    ASSERT_TRUE(b.ok()) << sql;
-    // Same FROM order exposed regardless of execution order.
-    EXPECT_EQ(a->from, b->from) << sql;
-    EXPECT_EQ(a->columns, b->columns) << sql;
-    // Same multiset of (row, lineage) pairs.
-    auto canon = [](const QueryResult& r) {
-      std::multiset<std::string> out;
-      for (size_t i = 0; i < r.rows.size(); ++i) {
-        std::string key;
-        for (const auto& v : r.rows[i]) key += v.ToString() + "|";
-        key += "//";
-        for (Tid t : r.lineage[i]) key += TidToString(t) + "|";
-        out.insert(std::move(key));
-      }
-      return out;
-    };
-    EXPECT_EQ(canon(*a), canon(*b)) << sql;
-  }
 }
 
 TEST_F(ExecutorTest, BagSemanticsKeepDuplicates) {

@@ -145,26 +145,6 @@ TEST(TableScanTest, RunChunkedMatchesSingleShot) {
   }
 }
 
-TEST(TableScanTest, EstimateFilteredCardinality) {
-  auto table = MakeTable();
-  auto pred = sql::ParseExpression("T.a >= 20");
-  ASSERT_TRUE(pred.ok());
-  std::vector<const Expression*> conjuncts = {pred->get()};
-
-  ScanOptions compiled;
-  auto n = EstimateFilteredCardinality(*table->CurrentVersion(), "T",
-                                       conjuncts, compiled);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 3u);
-
-  ScanOptions interpreted;
-  interpreted.compiled = false;
-  auto m = EstimateFilteredCardinality(*table->CurrentVersion(), "T",
-                                       conjuncts, interpreted);
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(*m, *n);
-}
-
 /// End-to-end: the executor must return identical results (rows, lineage,
 /// and error statuses) with the compiled scan on and off.
 class ScanModeEquivalenceTest : public ::testing::Test {

@@ -81,6 +81,16 @@ Batch MakeBatch(std::vector<std::vector<Value>> columns) {
   return batch;
 }
 
+/// The rows NonNullBitmap keeps, ascending.
+std::vector<size_t> NonNullRows(const Batch& batch,
+                                const std::vector<size_t>& columns) {
+  std::vector<size_t> out;
+  NonNullBitmap(batch, columns).ForEach([&](int64_t row) {
+    out.push_back(static_cast<size_t>(row));
+  });
+  return out;
+}
+
 TEST(NonNullRowsTest, ScreensEveryListedColumn) {
   auto batch = MakeBatch({
       {Value::Int(1), Value::Null(), Value::Int(3), Value::Int(4)},

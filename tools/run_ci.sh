@@ -7,7 +7,7 @@
 # three subscription soaks (lossless fan-out, slow-subscriber gap
 # shedding under tiny socket buffers, and a SIGTERM drain that must
 # flush parked pushes), failing on any ASan report — the tid-bitmap
-# kernels plus the suspicion/granule bitmap differentials under
+# kernels plus the suspicion/granule set-oracle differentials under
 # UndefinedBehaviorSanitizer (and the same suites re-run in the ASan
 # tree, where the BatchIndex lifetime regression is visible) — the
 # durability gate
@@ -33,7 +33,7 @@
 # bench_net push-latency sweep, the bench_policy overhead acceptance
 # check (<5% at 0% rule-hit rate), and the bench_mixed MVCC sweep
 # (versioned caching must sustain hot hit rates AND write throughput
-# where the wholesale-invalidation ablation can only have one) and the
+# where wholesale invalidation can only have one) and the
 # bench_backlog roll-forward vs replay history sweep,
 # checking their BENCH_scan.json / BENCH_granule.json /
 # BENCH_index.json / BENCH_push.json
@@ -204,7 +204,7 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # The compressed-bitmap containers are the one place in the tree doing
 # dense bit manipulation (word shifts, countr_zero scans, sign-flip
 # encoding of INT64_MIN/MAX tids): run their unit + differential suites,
-# and the suspicion/granule ablation differentials that exercise them
+# and the suspicion/granule set-oracle differentials that exercise them
 # end-to-end, with UB checking hot. The history differentials ride
 # along (cursor row bookkeeping and the delta view's position sort).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -594,10 +594,11 @@ grep -q '"benchmarks"' "${PREFIX}-release/bench/BENCH_policy.json" || {
 ( cd "${PREFIX}-release/bench" && ./bench_policy overhead 300 )
 
 # The mixed read/write sweep: writer threads racing pinned audits in
-# the versioned (shipped) scheme vs the wholesale-invalidation
-# ablation. The bench itself enforces the acceptance: versioned must
-# sustain BOTH a hot decision cache and write throughput under every
-# write combo, and it always emits BENCH_mixed.json.
+# the versioned (shipped) scheme vs wholesale invalidation (a change
+# listener that evicts the whole cache on every write). The bench
+# itself enforces the acceptance: versioned must sustain BOTH a hot
+# decision cache and write throughput under every write combo, and it
+# always emits BENCH_mixed.json.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_mixed
 ( cd "${PREFIX}-release/bench" && ./bench_mixed 3 )
 [ -s "${PREFIX}-release/bench/BENCH_mixed.json" ] || {
